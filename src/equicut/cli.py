@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -56,6 +57,10 @@ class InstanceFile:
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_tol(x) -> bool:
+    return _is_number(x) and math.isfinite(x) and x > 0.0
 
 
 def parse_instance(path) -> InstanceFile:
@@ -124,8 +129,8 @@ def parse_instance(path) -> InstanceFile:
             raise ValidationError(f"{path}: sigma must be a permutation of 0..{n - 1}")
     tol = doc.get("tol")
     if tol is not None:
-        if not _is_number(tol) or not tol > 0.0:
-            raise ParseError(f"{path}: \"tol\" must be a positive number")
+        if not _is_tol(tol):
+            raise ParseError(f"{path}: \"tol\" must be a positive finite number")
         tol = float(tol)
     return InstanceFile(tuple(names), tuple(densities), sigma, tol, tuple(warnings))
 
@@ -228,12 +233,16 @@ def _parse_floats_flag(flag: str, text: str) -> tuple[float, ...]:
 
 
 def _load(args) -> tuple[InstanceFile, Instance, float]:
+    tol = getattr(args, "tol", None)
+    if tol is not None and not _is_tol(tol):
+        raise ParseError(f"--tol must be a positive finite number, got {tol!r}")
     ifile = parse_instance(args.file)
     for warning in ifile.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     sigma = _parse_sigma_flag(args.sigma) if getattr(args, "sigma", None) else None
     inst = ifile.instance(sigma)
-    tol = args.tol if getattr(args, "tol", None) else (ifile.tol or DEFAULT_TOL)
+    if tol is None:
+        tol = DEFAULT_TOL if ifile.tol is None else ifile.tol
     return ifile, inst, tol
 
 
@@ -289,7 +298,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     ifile, _, tol = _load(args)
-    rows = sweep_permutations(ifile.densities, tol, parallel=args.parallel)
+    rows = sweep_permutations(ifile.densities, tol)
     payload = [
         {
             "sigma": list(sigma),
@@ -425,6 +434,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    if args.players < 1:
+        raise ParseError(f"--players must be at least 1, got {args.players}")
     rng = random.Random(args.seed)
     players = []
     for i in range(args.players):
@@ -485,7 +496,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="solve every player order and rank by value")
     _add_common(p, with_sigma=False)
-    p.add_argument("--parallel", action="store_true", help="use a process pool")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="evaluate fairness of given cuts")

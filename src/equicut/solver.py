@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -114,6 +112,11 @@ def piece_values(inst: Instance, cuts) -> tuple[float, ...]:
     )
 
 
+def _check_tol(tol) -> None:
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+
 def solve_equitable(
     inst: Instance, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> EquitableSolution:
@@ -126,13 +129,14 @@ def solve_equitable(
     sphere take over, and the best cuts seen are returned with an honest
     status and gap.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     if inst.n == 1:
         own = integral_on(inst.densities[0], 0.0, 1.0)
         rn = topology.inf_norm(topology.residual_map(inst, (1.0,)))
         return EquitableSolution((), own, 0.0, SolveStatus.CONVERGED, rn, 0)
 
+    # lockstep.bisect_orders runs this same loop for many orders at once
+    # and must stay bit-identical to it
     lo, hi = 0.0, 1.0
     cuts_lo, r_lo = chain_cuts(inst, lo)
     iterations = 0
@@ -150,7 +154,14 @@ def solve_equitable(
             lo, cuts_lo, r_lo = mid, cuts_mid, r_mid
         else:
             hi = mid
+    return _finish(inst, cuts_lo, lo, iterations, tol, max_iter)
 
+
+def _finish(
+    inst: Instance, cuts_lo, lo: float, iterations: int, tol: float, max_iter: int
+) -> EquitableSolution:
+    """Judge the bisection's feasible chain, repair it if its gap exceeds
+    tol, and certify the result."""
     own = piece_values(inst, cuts_lo)
     gap = max(own) - min(own)
     best_cuts, best_own, best_gap = cuts_lo, own, gap
@@ -223,25 +234,20 @@ def plateau_refine(inst: Instance, cuts, v: float, tol: float = DEFAULT_TOL) -> 
     return tuple(xs[1:n])
 
 
-def _solve_job(args):
-    densities, sigma, tol, max_iter = args
-    return solve_equitable(Instance(densities, sigma), tol=tol, max_iter=max_iter)
-
-
 def sweep_permutations(
     densities,
     tol: float = DEFAULT_TOL,
     *,
     cap: int = SWEEP_CAP,
-    parallel: bool = False,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
     """Solve every player order and rank the results.
 
     Returns ``[(sigma, solution), ...]`` sorted by common value descending,
     ties broken by lexicographic sigma. Enumerating n! orders is refused
-    above ``cap`` players. ``parallel`` fans the solves out to a process
-    pool; results are identical either way.
+    above ``cap`` players. The bisections of all orders run in lockstep as
+    one vectorized kernel; each solution equals what ``solve_equitable``
+    returns for that order.
     """
     densities = tuple(densities)
     n = len(densities)
@@ -249,14 +255,21 @@ def sweep_permutations(
         raise TooManyPlayers(
             f"{n} players means {math.factorial(n)} orders, above the cap of {cap} players"
         )
+    _check_tol(tol)
     perms = list(itertools.permutations(range(n)))
-    jobs = [(densities, sigma, tol, max_iter) for sigma in perms]
-    if parallel and len(perms) > 1:
-        chunk = max(1, len(perms) // (4 * (os.cpu_count() or 1)))
-        with ProcessPoolExecutor() as pool:
-            solutions = list(pool.map(_solve_job, jobs, chunksize=chunk))
+    if n <= 1:
+        solutions = [solve_equitable(Instance(densities, sigma), tol, max_iter) for sigma in perms]
     else:
-        solutions = [_solve_job(job) for job in jobs]
+        # numpy stays out of this module's imports, and so off the import
+        # path of callers that never sweep
+        from .lockstep import bisect_orders
+
+        solutions = [
+            _finish(Instance(densities, sigma), cuts_lo, lo, iterations, tol, max_iter)
+            for sigma, (cuts_lo, lo, iterations) in zip(
+                perms, bisect_orders(densities, perms, tol, max_iter)
+            )
+        ]
     rows = list(zip(perms, solutions))
     rows.sort(key=lambda row: (-row[1].value, row[0]))
     return rows

@@ -11,7 +11,9 @@ from equicut.measure import (
 from equicut.solver import Instance
 
 
-def random_density(rng, max_pieces=5, kind=None, low=0.0, high=4.0):
+def random_density(rng, max_pieces=5, kind=None, low=0.0, high=4.0, zero_share=0.0):
+    """``zero_share`` is the chance that each value is exactly zero, which
+    makes zero-density plateaus."""
     if kind is None:
         kind = rng.choice((PIECEWISE_CONSTANT, PIECEWISE_LINEAR))
     pieces = rng.randint(1, max_pieces)
@@ -20,7 +22,10 @@ def random_density(rng, max_pieces=5, kind=None, low=0.0, high=4.0):
         interior.add(round(rng.uniform(0.05, 0.95), 4))
     breakpoints = [0.0, *sorted(interior), 1.0]
     count = pieces if kind == PIECEWISE_CONSTANT else pieces + 1
-    values = [rng.uniform(low, high) for _ in range(count)]
+    values = [
+        0.0 if zero_share and rng.random() < zero_share else rng.uniform(low, high)
+        for _ in range(count)
+    ]
     if max(values) <= 0.0:
         values[rng.randrange(count)] = 1.0
     return validate_and_normalize(kind, breakpoints, values)

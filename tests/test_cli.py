@@ -63,6 +63,12 @@ class TestParseInstance:
         with pytest.raises(ParseError):
             parse_instance(write(tmp_path, dict(UNIFORM2, tol=-1)))
 
+    def test_non_finite_tol(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(UNIFORM2)[:-1] + ', "tol": Infinity}')
+        with pytest.raises(ParseError, match="finite"):
+            parse_instance(str(path))
+
     def test_missing_players(self, tmp_path):
         with pytest.raises(ParseError):
             parse_instance(write(tmp_path, {"players": []}))
@@ -205,6 +211,35 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[0].startswith("sigma,")
 
+    def test_parallel_flag_is_gone(self, tmp_path, capsys):
+        assert run(["sweep", write(tmp_path, UNIFORM2), "--parallel"]) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--parallel" in err
+
+
+class TestTolFlag:
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_is_input_error(self, tmp_path, capsys, command, tol):
+        code = run([command, write(tmp_path, UNIFORM2), "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--tol must be a positive finite number" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_flag_overrides_file_tol(self, tmp_path, capsys, command):
+        path = write(tmp_path, dict(UNIFORM2, tol=1e-6))
+        assert run([command, path, "--tol", "1e-3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if command == "solve":
+            assert payload["tol"] == 1e-3
+        else:
+            # the looser tolerance stops the bisection sooner
+            assert all(row["iterations"] == 10 for row in payload)
+
 
 class TestVerifyCommand:
     def test_lopsided_cut_reported(self, tmp_path, capsys):
@@ -289,6 +324,14 @@ class TestRandomCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code in (0, 2)
         assert len(payload["cuts"]) == 2
+
+    @pytest.mark.parametrize("players", ["0", "-2"])
+    def test_no_players_refused(self, tmp_path, capsys, players):
+        out_path = tmp_path / "empty.json"
+        code = run(["random", "--players", players, "--out", str(out_path)])
+        assert code == 1
+        assert "--players must be at least 1" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestUsageErrors:

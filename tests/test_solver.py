@@ -1,10 +1,17 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from equicut.errors import InvalidPermutation, InvalidV, TooManyPlayers
-from equicut.measure import piecewise_constant, piecewise_linear, uniform, validate_and_normalize
+from equicut.measure import (
+    KINDS,
+    piecewise_constant,
+    piecewise_linear,
+    uniform,
+    validate_and_normalize,
+)
 from equicut.solver import (
     Instance,
     SolveStatus,
@@ -15,7 +22,7 @@ from equicut.solver import (
     sweep_permutations,
 )
 from equicut.topology import cuts_to_sphere, inf_norm, residual_map
-from helpers import random_instance
+from helpers import random_density, random_instance
 
 UNIFORM = uniform()
 
@@ -251,16 +258,70 @@ class TestSweep:
         with pytest.raises(TooManyPlayers):
             sweep_permutations((UNIFORM,) * 9, 1e-9)
 
-    def test_parallel_matches_sequential(self):
-        rng = random.Random(11)
-        inst = random_instance(rng, n=3)
-        seq = sweep_permutations(inst.densities, 1e-9)
-        par = sweep_permutations(inst.densities, 1e-9, parallel=True)
-        assert [sigma for sigma, _ in seq] == [sigma for sigma, _ in par]
-        for (_, a), (_, b) in zip(seq, par):
-            assert a.cuts == b.cuts
-            assert a.value == b.value
-            assert a.status is b.status
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_bad_tol_raises(self, tol):
+        with pytest.raises(ValueError):
+            sweep_permutations((UNIFORM, UNIFORM), tol)
+
+    def test_cap_checked_before_tol(self):
+        with pytest.raises(TooManyPlayers):
+            sweep_permutations((UNIFORM,) * 9, 0.0)
+
+
+def per_order_sweep(densities, tol, max_iter=200):
+    """The reference: one scalar solve per order, ranked like the sweep."""
+    rows = [
+        (sigma, solve_equitable(Instance(densities, sigma), tol, max_iter))
+        for sigma in itertools.permutations(range(len(densities)))
+    ]
+    rows.sort(key=lambda row: (-row[1].value, row[0]))
+    return rows
+
+
+class TestSweepMatchesPerOrderSolves:
+    """The lockstep kernel must reproduce the scalar bisection exactly,
+    so every field of every solution compares equal."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_dense(self, n, kind):
+        rng = random.Random(31 * n + len(kind))
+        densities = tuple(random_density(rng, 6, kind, low=0.1) for _ in range(n))
+        assert sweep_permutations(densities, 1e-9) == per_order_sweep(densities, 1e-9)
+
+    def test_sparse_plateaus_reach_every_status(self):
+        rng = random.Random(2012)
+        statuses = set()
+        for case in range(12):
+            n = 2 + case % 3
+            densities = tuple(random_density(rng, 6, zero_share=2 / 3) for _ in range(n))
+            rows = per_order_sweep(densities, 1e-9)
+            assert sweep_permutations(densities, 1e-9) == rows
+            statuses.update(sol.status for _, sol in rows)
+        # the repair pass and the descent fallback both ran on kernel output
+        assert statuses == set(SolveStatus)
+
+    def test_disjoint_pair_exits(self):
+        # (0, 1) stops on the tolerance test, (1, 0) runs into max_iter
+        densities = disjoint_pair()
+        assert sweep_permutations(densities, 1e-13) == per_order_sweep(densities, 1e-13)
+
+    def test_bracket_collapse_exit(self):
+        # order (0, 1) jumps from residual +1/4 to -1/4 at v = 1/2, so the
+        # bracket shrinks to adjacent floats and stops on lo < mid < hi
+        gapped = piecewise_constant((0.0, 0.25, 0.75, 1.0), (1.0, 0.0, 1.0))
+        densities = (gapped, UNIFORM)
+        rows = sweep_permutations(densities, 1e-9)
+        assert rows == per_order_sweep(densities, 1e-9)
+        assert rows[0][1].status is SolveStatus.REFINED_CONVERGED
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_iteration_cap(self, seed):
+        rng = random.Random(seed)
+        densities = random_instance(rng, n=4, max_pieces=6).densities
+        rows = sweep_permutations(densities, 1e-9, max_iter=5)
+        assert rows == per_order_sweep(densities, 1e-9, max_iter=5)
+        assert all(sol.iterations == 5 for _, sol in rows)
 
 
 class TestCertificateAcrossStatuses:
