@@ -7,7 +7,7 @@ solutions, an exhaustive grid search provides an independent reference,
 and fairness reports judge any division against the classical criteria.
 """
 
-from .analysis import FairnessReport, fairness_report, valuation_matrix
+from .analysis import FairnessReport, fairness_report, valuation_matrix, valuation_rows
 from .errors import EquicutError
 from .measure import (
     Density,
@@ -56,4 +56,5 @@ __all__ = [
     "uniform",
     "validate_and_normalize",
     "valuation_matrix",
+    "valuation_rows",
 ]

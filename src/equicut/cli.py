@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import fairness_report, valuation_matrix
+from .analysis import fairness_report, valuation_rows
 from .errors import EquicutError, ParseError, ValidationError
 from .measure import KINDS, PIECEWISE_CONSTANT, Density, validate_and_normalize
 from .oracle import grid_search_equitable
@@ -33,6 +33,11 @@ from .solver import (
     sweep_permutations,
 )
 from .topology import cuts_to_sphere, inf_norm, residual_map, sphere_to_cuts
+
+#: Finest tolerance accepted, the spacing of doubles at 1.0: values and
+#: cuts live in [0, 1], and a finer tolerance is below what the bisection
+#: on the common value can resolve.
+MIN_TOL = sys.float_info.epsilon
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -59,8 +64,16 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _is_tol(x) -> bool:
-    return _is_number(x) and math.isfinite(x) and x > 0.0
+def _check_tol(tol, label: str) -> float:
+    """``tol`` as a float; a ParseError naming ``label`` unless it is a
+    finite number of at least MIN_TOL."""
+    if not (_is_number(tol) and math.isfinite(tol) and tol > 0.0):
+        raise ParseError(f"{label} must be a positive finite number, got {tol!r}")
+    if tol < MIN_TOL:
+        raise ParseError(
+            f"{label} {tol!r} is below what double precision resolves; use at least {MIN_TOL!r}"
+        )
+    return float(tol)
 
 
 def parse_instance(path) -> InstanceFile:
@@ -129,9 +142,7 @@ def parse_instance(path) -> InstanceFile:
             raise ValidationError(f"{path}: sigma must be a permutation of 0..{n - 1}")
     tol = doc.get("tol")
     if tol is not None:
-        if not _is_tol(tol):
-            raise ParseError(f"{path}: \"tol\" must be a positive finite number")
-        tol = float(tol)
+        tol = _check_tol(tol, f"{path}: \"tol\"")
     return InstanceFile(tuple(names), tuple(densities), sigma, tol, tuple(warnings))
 
 
@@ -234,8 +245,8 @@ def _parse_floats_flag(flag: str, text: str) -> tuple[float, ...]:
 
 def _load(args) -> tuple[InstanceFile, Instance, float]:
     tol = getattr(args, "tol", None)
-    if tol is not None and not _is_tol(tol):
-        raise ParseError(f"--tol must be a positive finite number, got {tol!r}")
+    if tol is not None:
+        _check_tol(tol, "--tol")
     ifile = parse_instance(args.file)
     for warning in ifile.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -249,7 +260,7 @@ def _load(args) -> tuple[InstanceFile, Instance, float]:
 def _cmd_solve(args) -> int:
     ifile, inst, tol = _load(args)
     sol = solve_equitable(inst, tol=tol)
-    report = fairness_report(valuation_matrix(inst.densities, sol.cuts, inst.sigma), inst.sigma, tol)
+    report = fairness_report(valuation_rows(inst.densities, sol.cuts, inst.sigma), inst.sigma, tol)
     pieces = _pieces_payload(ifile.names, inst, sol.cuts)
     payload = {
         "players": list(ifile.names),
@@ -345,7 +356,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     ifile, inst, tol = _load(args)
     cuts = _parse_floats_flag("--cuts", args.cuts)
-    matrix = valuation_matrix(inst.densities, cuts, inst.sigma)
+    matrix = valuation_rows(inst.densities, cuts, inst.sigma)
     report = fairness_report(matrix, inst.sigma, tol)
     pieces = _pieces_payload(ifile.names, inst, cuts)
     payload = {
@@ -448,13 +459,15 @@ def _cmd_random(args) -> int:
         values = [round(rng.uniform(0.0, 4.0), 6) for _ in range(count)]
         if not any(values):
             values[rng.randrange(count)] = 1.0
+        # written normalized, so loading the file prints no warnings
+        d = validate_and_normalize(args.kind, breakpoints, values)
         players.append(
             {
                 "name": f"p{i + 1}",
                 "density": {
-                    "kind": args.kind,
-                    "breakpoints": breakpoints,
-                    "values": values,
+                    "kind": d.kind,
+                    "breakpoints": list(d.breakpoints),
+                    "values": list(d.values),
                 },
             }
         )

@@ -73,6 +73,10 @@ class DimensionMismatch(EquicutError):
     """Sizes of densities, cuts, sigma, or matrices do not agree."""
 
 
+class NonFiniteEntry(EquicutError):
+    """A valuation matrix entry is NaN or infinite."""
+
+
 # --- instance files -----------------------------------------------------------
 
 class ParseError(EquicutError):

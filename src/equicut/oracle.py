@@ -8,10 +8,13 @@ grows like (1/resolution)^(n-1); the player cap keeps that honest.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ResolutionTooFine, TooManyPlayers
 from .measure import PIECEWISE_CONSTANT, Density
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PLAYERS = 4
 MIN_RESOLUTION = 1e-4
@@ -19,6 +22,8 @@ MIN_RESOLUTION = 1e-4
 
 def _cdf_on_grid(d: Density, xs: np.ndarray) -> np.ndarray:
     """Cumulative mass at every grid point, vectorized."""
+    import numpy as np
+
     bp = np.asarray(d.breakpoints)
     vals = np.asarray(d.values)
     cum = np.asarray(d.cum_mass)
@@ -45,6 +50,9 @@ def grid_search_equitable(inst, resolution: float):
         raise ResolutionTooFine(f"resolution must be at least {MIN_RESOLUTION}, got {resolution!r}")
     if n == 1:
         return (), 0.0
+    # numpy is imported here, not at module level, so importing the package
+    # (and the CLI) does not pay for it
+    import numpy as np
 
     steps = max(int(round(1.0 / resolution)), 1)
     grid = np.linspace(0.0, 1.0, steps + 1)

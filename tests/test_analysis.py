@@ -3,11 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from equicut.analysis import fairness_report, valuation_matrix
-from equicut.errors import DimensionMismatch, InvalidCuts
+from equicut.analysis import FairnessReport, fairness_report, valuation_matrix, valuation_rows
+from equicut.errors import DimensionMismatch, EquicutError, InvalidCuts, NonFiniteEntry
 from equicut.measure import piecewise_constant, uniform
-from equicut.solver import solve_equitable
-from helpers import random_instance
+from equicut.solver import Instance, solve_equitable
+from helpers import random_density, random_instance
 
 UNIFORM = uniform()
 
@@ -106,3 +106,112 @@ class TestFairnessReport:
         assert rep.equitable_gap == pytest.approx(sol.gap, abs=1e-15)
         if sol.status.value != "best_effort":
             assert rep.equitable_gap <= tol
+
+
+def numpy_fairness_report(matrix, sigma, tol=1e-9):
+    """The numpy formulation of fairness_report, kept as the reference the
+    pure-Python one must match field for field."""
+    m = np.asarray(matrix, dtype=float)
+    n = m.shape[0]
+    inverse = np.empty(n, dtype=int)
+    inverse[list(sigma)] = np.arange(n)
+    own = m[np.arange(n), inverse]
+    fair_share = 1.0 / n
+    proportional_margin = float(own.min() - fair_share)
+    worst_envy = float((m - own[:, None]).max())
+    return FairnessReport(
+        equitable_gap=float(own.max() - own.min()),
+        proportional_ok=proportional_margin >= -tol,
+        proportional_margin=proportional_margin,
+        envy_free_ok=worst_envy <= tol,
+        worst_envy=worst_envy,
+        exact_gap=float(np.abs(m - fair_share).max()),
+        assigned_values=tuple(float(v) for v in own),
+    )
+
+
+def differential_cases(seed, count=30):
+    """Instances with plateaus and shuffled sigma, each with cuts that
+    repeat (zero-width pieces, cuts at 0 and 1 included), random cuts, and
+    the solver's own cuts."""
+    rng = random.Random(seed + 900)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        densities = tuple(random_density(rng, zero_share=0.3) for _ in range(n))
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        inst = Instance(densities, tuple(sigma))
+        pool = [0.0, 1.0, *(round(rng.random(), 2) for _ in range(2))]
+        yield inst, sorted(rng.choice(pool) for _ in range(n - 1))
+        yield inst, sorted(rng.random() for _ in range(n - 1))
+        yield inst, solve_equitable(inst).cuts
+
+
+class TestPureReportMatchesNumpy:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fields_equal_reference(self, seed):
+        for inst, cuts in differential_cases(seed):
+            rows = valuation_rows(inst.densities, cuts, inst.sigma)
+            for tol in (1e-9, 0.0, 0.1):
+                assert fairness_report(rows, inst.sigma, tol) == numpy_fairness_report(
+                    rows, inst.sigma, tol
+                )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_nested_tuples_and_ndarray_give_equal_reports(self, seed):
+        for inst, cuts in differential_cases(seed, count=10):
+            rows = valuation_rows(inst.densities, cuts, inst.sigma)
+            matrix = valuation_matrix(inst.densities, cuts, inst.sigma)
+            assert fairness_report(matrix, inst.sigma) == fairness_report(rows, inst.sigma)
+            assert fairness_report([list(r) for r in rows], inst.sigma) == fairness_report(
+                rows, inst.sigma
+            )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matrix_is_ndarray_of_rows(self, seed):
+        for inst, cuts in differential_cases(seed, count=10):
+            rows = valuation_rows(inst.densities, cuts, inst.sigma)
+            m = valuation_matrix(inst.densities, cuts, inst.sigma)
+            assert isinstance(m, np.ndarray)
+            assert m.dtype == np.float64 and m.shape == (inst.n, inst.n)
+            assert np.array_equal(m, np.array(rows))
+
+    def test_rows_are_tuples_of_floats(self):
+        rows = valuation_rows((UNIFORM, UNIFORM), (0.25,))
+        assert rows == ((0.25, 0.75), (0.25, 0.75))
+        assert all(type(x) is float for row in rows for x in row)
+
+    def test_report_fields_are_python_scalars(self):
+        rep = fairness_report(np.array([[0.25, 0.75], [0.25, 0.75]]), (0, 1))
+        assert type(rep.equitable_gap) is float and type(rep.worst_envy) is float
+        assert type(rep.proportional_ok) is bool
+        assert all(type(v) is float for v in rep.assigned_values)
+
+
+class TestReportInputChecks:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entries_refused(self, bad):
+        for matrix in ([[0.5, 0.5], [0.5, bad]], np.array([[bad, 0.5], [0.5, 0.5]])):
+            with pytest.raises(NonFiniteEntry):
+                fairness_report(matrix, (0, 1))
+        assert issubclass(NonFiniteEntry, EquicutError)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0.5, 0.5], [0.5]],
+            [0.5, 0.5],
+            [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]],
+            [],
+            [[[0.5], [0.5]], [[0.5], [0.5]]],
+            np.zeros(4),
+            np.zeros((2, 2, 1)),
+            np.zeros((0, 0)),
+            0.5,
+        ],
+        ids=["ragged", "1-D", "2x3", "empty", "3-D", "1-D array", "3-D array", "0x0 array",
+             "scalar"],
+    )
+    def test_non_square_refused(self, matrix):
+        with pytest.raises(DimensionMismatch):
+            fairness_report(matrix, (0, 1))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import equicut
 from equicut.cli import parse_instance, run
 from equicut.errors import ParseError, ValidationError
 
@@ -241,6 +246,35 @@ class TestTolFlag:
             assert all(row["iterations"] == 10 for row in payload)
 
 
+class TestTolFloor:
+    """A tolerance below the spacing of doubles near 1 cannot be resolved by
+    the bisection, so it is refused up front instead of ending best-effort."""
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("tol", ["1e-300", "1e-17", "2e-16"])
+    def test_flag_below_epsilon_is_input_error(self, tmp_path, capsys, command, tol):
+        code = run([command, write(tmp_path, UNIFORM2), "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"--tol {float(tol)!r} is below what double precision resolves" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_file_tol_below_epsilon_is_input_error(self, tmp_path, capsys, command):
+        code = run([command, write(tmp_path, dict(UNIFORM2, tol=1e-300))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert '"tol" 1e-300 is below what double precision resolves' in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_epsilon_itself_is_accepted(self, tmp_path, capsys, command):
+        code = run([command, write(tmp_path, UNIFORM2), "--tol", repr(sys.float_info.epsilon)])
+        assert code in (0, 2)
+        assert "error" not in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_lopsided_cut_reported(self, tmp_path, capsys):
         code = run(["verify", write(tmp_path, UNIFORM2), "--cuts", "0.25", "--format", "json"])
@@ -325,6 +359,17 @@ class TestRandomCommand:
         assert code in (0, 2)
         assert len(payload["cuts"]) == 2
 
+    @pytest.mark.parametrize("kind", ["piecewise_constant", "piecewise_linear"])
+    @pytest.mark.parametrize("seed", ["7", "21"])
+    def test_output_is_normalized(self, tmp_path, capsys, kind, seed):
+        out_path = tmp_path / "normalized.json"
+        run(["random", "--players", "3", "--kind", kind, "--seed", seed, "--out", str(out_path)])
+        assert parse_instance(str(out_path)).warnings == ()
+        code = run(["solve", str(out_path), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        assert "warning" not in captured.err
+
     @pytest.mark.parametrize("players", ["0", "-2"])
     def test_no_players_refused(self, tmp_path, capsys, players):
         out_path = tmp_path / "empty.json"
@@ -348,3 +393,45 @@ class TestUsageErrors:
     def test_nonexistent_file(self, capsys):
         assert run(["solve", "/no/such/file.json"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+
+SRC = str(Path(equicut.__file__).resolve().parent.parent)
+
+#: Runs the CLI commands given as JSON argv lists in a fresh interpreter,
+#: each of which must exit 0, then prints whether numpy got imported.
+NUMPY_PROBE = """
+import json, sys
+import equicut, equicut.cli
+for argv in json.loads(sys.argv[1]):
+    assert equicut.cli.run(argv) == 0, argv
+print(json.dumps("numpy" in sys.modules))
+"""
+
+
+class TestNumpyStaysOffTheCliPath:
+    """numpy costs most of the package's import time, so only the commands
+    that need it (sweep, oracle) may load it, and only when they run."""
+
+    def numpy_loaded(self, commands) -> bool:
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_solve_verify_residual_random_leave_numpy_unloaded(self, tmp_path):
+        path = write(tmp_path, UNIFORM2)
+        assert not self.numpy_loaded([
+            ["solve", path, "--format", "json"],
+            ["verify", path, "--cuts", "0.5", "--format", "json"],
+            ["residual", path, "--cuts", "0.5"],
+            ["random", "--players", "2", "--out", str(tmp_path / "random.json")],
+        ])
+
+    def test_sweep_and_oracle_load_numpy_when_run(self, tmp_path):
+        path = write(tmp_path, UNIFORM2)
+        assert self.numpy_loaded([["sweep", path, "--format", "json"]])
+        assert self.numpy_loaded([["oracle", path, "--format", "json"]])
