@@ -162,6 +162,8 @@ def _finish(
 ) -> EquitableSolution:
     """Judge the bisection's feasible chain, repair it if its gap exceeds
     tol, and certify the result."""
+    # lockstep.finish_orders repeats the converged branch for many orders
+    # at once and must stay bit-identical to it
     own = piece_values(inst, cuts_lo)
     gap = max(own) - min(own)
     best_cuts, best_own, best_gap = cuts_lo, own, gap
@@ -245,9 +247,12 @@ def sweep_permutations(
 
     Returns ``[(sigma, solution), ...]`` sorted by common value descending,
     ties broken by lexicographic sigma. Enumerating n! orders is refused
-    above ``cap`` players. The bisections of all orders run in lockstep as
-    one vectorized kernel; each solution equals what ``solve_equitable``
-    returns for that order.
+    above ``cap`` players. For n >= 2 all orders are solved together by
+    ``lockstep.solve_orders``: the bisections run in lockstep as one
+    vectorized kernel, and so do the piece values, gaps and residual
+    certificates of the orders that converge. Orders whose gap exceeds tol
+    go to the scalar plateau repair and descent fallback one at a time.
+    Each solution equals what ``solve_equitable`` returns for that order.
     """
     densities = tuple(densities)
     n = len(densities)
@@ -262,14 +267,9 @@ def sweep_permutations(
     else:
         # numpy stays out of this module's imports, and so off the import
         # path of callers that never sweep
-        from .lockstep import bisect_orders
+        from .lockstep import solve_orders
 
-        solutions = [
-            _finish(Instance(densities, sigma), cuts_lo, lo, iterations, tol, max_iter)
-            for sigma, (cuts_lo, lo, iterations) in zip(
-                perms, bisect_orders(densities, perms, tol, max_iter)
-            )
-        ]
+        solutions = solve_orders(densities, perms, tol, max_iter)
     rows = list(zip(perms, solutions))
     rows.sort(key=lambda row: (-row[1].value, row[0]))
     return rows

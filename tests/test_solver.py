@@ -2,9 +2,19 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from equicut.errors import InvalidPermutation, InvalidV, TooManyPlayers
+from equicut.errors import (
+    InvalidCuts,
+    InvalidPermutation,
+    InvalidV,
+    NotOnSphere,
+    OutOfRange,
+    ReversedInterval,
+    TooManyPlayers,
+)
+from equicut.lockstep import _residual_norms, _Tables, bisect_orders, finish_orders
 from equicut.measure import (
     KINDS,
     piecewise_constant,
@@ -15,13 +25,14 @@ from equicut.measure import (
 from equicut.solver import (
     Instance,
     SolveStatus,
+    _finish,
     chain_cuts,
     piece_values,
     plateau_refine,
     solve_equitable,
     sweep_permutations,
 )
-from equicut.topology import cuts_to_sphere, inf_norm, residual_map
+from equicut.topology import cuts_to_sphere, inf_norm, residual_map, validate_cuts
 from helpers import random_density, random_instance
 
 UNIFORM = uniform()
@@ -322,6 +333,135 @@ class TestSweepMatchesPerOrderSolves:
         rows = sweep_permutations(densities, 1e-9, max_iter=5)
         assert rows == per_order_sweep(densities, 1e-9, max_iter=5)
         assert all(sol.iterations == 5 for _, sol in rows)
+
+
+def both_tails(densities, orders, cuts, lo, iterations, tol=1e-9, max_iter=200):
+    """The batched tail and a per-lane scalar ``_finish`` on the same input."""
+    tables = _Tables(densities)
+    sigma = np.array(orders, dtype=np.intp)
+    batched = finish_orders(tables, sigma, cuts, lo, iterations, tol, max_iter)
+    scalar = [
+        _finish(Instance(densities, order), tuple(c), lo_, it, tol, max_iter)
+        for order, c, lo_, it in zip(orders, cuts.tolist(), lo.tolist(), iterations.tolist())
+    ]
+    return batched, scalar
+
+
+def kernel_output(densities, orders, tol=1e-9, max_iter=200):
+    return bisect_orders(_Tables(densities), np.array(orders, dtype=np.intp), tol, max_iter)
+
+
+def thirds():
+    """Three players, each holding all their mass on one third of the cake."""
+    return tuple(
+        piecewise_constant((0.0, 1 / 3, 2 / 3, 1.0), [3.0 if j == k else 0.0 for j in range(3)])
+        for k in range(3)
+    )
+
+
+class TestBatchedTailMatchesScalar:
+    """lockstep.finish_orders must equal solver._finish lane by lane on the
+    same kernel output, so every field of every solution compares equal."""
+
+    def test_dense_seven_players(self):
+        rng = random.Random(7)
+        densities = tuple(random_density(rng, 6, KINDS[k % 2], low=0.1) for k in range(7))
+        orders = list(itertools.permutations(range(7)))
+        batched, scalar = both_tails(densities, orders, *kernel_output(densities, orders))
+        assert len(batched) == 5040
+        assert batched == scalar
+
+    def test_sparse_mixes_converged_and_fallback_lanes(self):
+        rng = random.Random(2013)
+        statuses = set()
+        for n in (3, 4, 4):
+            densities = tuple(random_density(rng, 6, zero_share=2 / 3) for _ in range(n))
+            orders = list(itertools.permutations(range(n)))
+            batched, scalar = both_tails(densities, orders, *kernel_output(densities, orders))
+            assert batched == scalar
+            statuses.update(sol.status for sol in batched)
+        assert statuses == set(SolveStatus)
+
+    def test_repeated_cuts(self):
+        # under order (2, 1, 0) the cuts (1/2, 1/2) give every piece value 0,
+        # so the lane converges with a zero-width middle piece and a zero
+        # sphere coordinate; the other rows mix such pieces with fallback
+        densities = thirds()
+        orders = list(itertools.permutations(range(3)))
+        rows = [(0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (1 / 3, 1 / 3), (0.0, 1.0), (0.2, 0.2)]
+        lanes = [(order, row) for order in orders for row in rows]
+        cuts = np.array([row for _, row in lanes])
+        batched, scalar = both_tails(
+            densities,
+            [order for order, _ in lanes],
+            cuts,
+            np.zeros(len(lanes)),
+            np.zeros(len(lanes), dtype=np.intp),
+        )
+        assert batched == scalar
+        zero_width = [
+            sol.status is SolveStatus.CONVERGED and len(set(row)) < len(row)
+            for (_, row), sol in zip(lanes, batched)
+        ]
+        assert any(zero_width)
+        # and the kernel's own output for the same densities
+        batched, scalar = both_tails(densities, orders, *kernel_output(densities, orders))
+        assert batched == scalar
+
+
+    def test_gap_just_over_tol_falls_back(self):
+        # two uniform players: the cut 1/2 + d leaves a gap of about 2|d|,
+        # so these rows straddle tol = 1e-9 by fractions of it
+        offsets = [k * 0.25e-9 for k in range(-6, 7)]
+        cuts = np.array([[0.5 + d] for d in offsets])
+        batched, scalar = both_tails(
+            (UNIFORM, UNIFORM), [(0, 1)] * len(offsets), cuts, np.full(len(offsets), 0.5),
+            np.zeros(len(offsets), dtype=np.intp),
+        )
+        assert batched == scalar
+        assert {sol.status for sol in batched} == {
+            SolveStatus.CONVERGED, SolveStatus.REFINED_CONVERGED
+        }
+
+
+class TestBatchedTailKeepsChecks:
+    """Bad input raises the error the scalar path raises, with its message."""
+
+    @pytest.mark.parametrize(
+        "cuts, error",
+        [((0.2, 1.5), OutOfRange), ((0.6, 0.4), ReversedInterval), ((0.3, 0.3, -0.1), OutOfRange)],
+    )
+    def test_bad_cuts(self, cuts, error):
+        densities = (UNIFORM,) * (len(cuts) + 1)
+        order = tuple(range(len(densities)))
+        with pytest.raises(error) as scalar:
+            _finish(Instance(densities, order), cuts, 0.0, 0, 1e-9, 200)
+        good = tuple(k / len(densities) for k in range(1, len(densities)))
+        with pytest.raises(error) as batched:
+            both_tails(
+                densities, [order, order], np.array([good, cuts]), np.zeros(2),
+                np.zeros(2, dtype=np.intp),
+            )
+        assert str(batched.value) == str(scalar.value)
+
+    def test_certificate_refuses_unsorted_cuts(self):
+        edges = (0.0, 0.6, 0.4, 1.0)
+        with pytest.raises(InvalidCuts) as scalar:
+            validate_cuts(edges[1:-1])
+        with pytest.raises(InvalidCuts) as batched:
+            _residual_norms(_Tables((UNIFORM,) * 3), np.array([[0, 1, 2]]), np.array([edges]))
+        assert str(batched.value) == str(scalar.value)
+
+    def test_certificate_refuses_points_off_the_sphere(self):
+        # edges that stop short of 1 give a point of squared norm 1/2
+        edges = (0.0, 0.25, 0.5)
+        e = tuple(math.sqrt(b - a) for a, b in zip(edges, edges[1:]))
+        inst = Instance((UNIFORM, UNIFORM))
+        with pytest.raises(NotOnSphere) as scalar:
+            residual_map(inst, e)
+        with pytest.raises(NotOnSphere) as batched:
+            _residual_norms(_Tables(inst.densities), np.array([inst.sigma]), np.array([edges]))
+        assert str(batched.value) == str(scalar.value)
 
 
 class TestCertificateAcrossStatuses:
