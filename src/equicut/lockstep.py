@@ -5,25 +5,21 @@ what ``solver.solve_equitable`` returns for it. Each order is one lane of
 numpy arrays, and both halves of the solve are batched across lanes:
 
 * ``bisect_orders`` runs the bisection loop. Each chain step inverts the
-  mass of piece k for every live lane in one vectorized pass over padded
-  density tables.
+  mass of piece k for every live lane in one vectorized pass over the
+  densities' piece tables (``tables._Tables``).
 * ``finish_orders`` runs the tail of ``solver._finish``: piece values,
   gap, common value and the residual certificate. Lanes whose gap exceeds
   tol go unchanged to the scalar ``_finish``, which holds the plateau
   repair and the descent fallback.
 
-The results are bit-identical to the scalar code, not merely close: every
-expression of ``measure.cumulative_mass``, ``measure.generalized_inverse``,
-``measure.integral_on``, ``topology.cuts_to_sphere`` and
-``topology.residual_map`` is repeated in the same operation order (float64
-``+ - * / sqrt`` round the same in numpy as in Python), and the ``bisect``
-searches become compare-and-count against each lane's own padded row,
-which involves no arithmetic on the search keys. Offsetting rows into one
-flat ``searchsorted`` would round them and is deliberately avoided. Sums
-the scalar code takes with ``math.fsum`` stay ``math.fsum`` calls, since
-numpy has no correctly rounded sum. The scalar input checks are kept: a
-vectorized mask repeats each condition, and the scalar check then runs on
-the first lane it flags, so the same ``EquicutError`` is raised.
+The results are bit-identical to the scalar code, not merely close: the
+tables repeat ``measure``'s queries exactly, and every expression of
+``topology.cuts_to_sphere`` and ``topology.residual_map`` is repeated here
+in the same operation order. Sums the scalar code takes with ``math.fsum``
+stay ``math.fsum`` calls, since numpy has no correctly rounded sum. The
+scalar input checks are kept: a vectorized mask repeats each condition,
+and the scalar check then runs on the first lane it flags, so the same
+``EquicutError`` is raised.
 """
 
 from __future__ import annotations
@@ -32,91 +28,10 @@ import math
 
 import numpy as np
 
-from .measure import INVERSE_SLACK, PIECEWISE_LINEAR, cumulative_mass, integral_on
+from .measure import integral_on
 from .solver import EquitableSolution, Instance, SolveStatus, _finish
+from .tables import _Tables
 from .topology import SPHERE_TOL, check_on_sphere, validate_cuts
-
-
-class _Tables:
-    """Player densities packed into padded (players, width) rows.
-
-    Breakpoints are padded with +inf and cumulative masses with the row
-    total, so padding never counts in a ``<=`` or ``<`` search; values are
-    padded with zeros. ``last`` is each row's largest piece index.
-    """
-
-    def __init__(self, densities):
-        self.densities = tuple(densities)
-        width = max(len(d.breakpoints) for d in self.densities)
-        n = len(self.densities)
-        self.bp = np.full((n, width), np.inf)
-        self.cum = np.empty((n, width))
-        self.vals = np.zeros((n, width))
-        self.last = np.empty(n, dtype=np.intp)
-        self.linear = np.empty(n, dtype=bool)
-        for i, d in enumerate(self.densities):
-            m = len(d.breakpoints)
-            self.bp[i, :m] = d.breakpoints
-            self.cum[i, :m] = d.cum_mass
-            self.cum[i, m:] = d.cum_mass[-1]
-            self.vals[i, : len(d.values)] = d.values
-            self.last[i] = m - 2
-            self.linear[i] = d.kind == PIECEWISE_LINEAR
-        self.total = self.cum[:, -1].copy()
-        # the last owner's cumulative mass at 1, as integral_on reads it
-        self.mass_to_one = np.array([cumulative_mass(d, 1.0) for d in self.densities])
-
-    def _piece(self, rows, j):
-        """Breakpoints, width, left value and slope of piece j of each
-        lane's row; the slope is only meaningful on linear rows."""
-        left = self.bp[rows, j]
-        right = self.bp[rows, j + 1]
-        width = right - left
-        v0 = self.vals[rows, j]
-        slope = (self.vals[rows, j + 1] - v0) / width
-        return left, right, width, v0, slope
-
-    def cumulative_mass(self, rows, x):
-        """``measure.cumulative_mass(densities[rows[i]], x[i])`` per lane."""
-        j = (self.bp[rows] <= x[:, None]).sum(1) - 1
-        j = np.minimum(np.maximum(j, 0), self.last[rows])
-        left, _, _, v0, slope = self._piece(rows, j)
-        u = x - left
-        cum = self.cum[rows, j]
-        return np.where(self.linear[rows], cum + u * (v0 + 0.5 * slope * u), cum + v0 * u)
-
-    def integral_on(self, rows, a, b):
-        """``measure.integral_on(densities[rows[i]], a[i], b[i])`` per lane.
-        A bad interval raises what the scalar call raises for the first
-        such lane."""
-        bad = ~((0.0 <= a) & (a <= b) & (b <= 1.0))
-        if bad.any():
-            i = np.argmax(bad)
-            integral_on(self.densities[rows[i]], float(a[i]), float(b[i]))
-        mass = self.cumulative_mass(rows, b) - self.cumulative_mass(rows, a)
-        return np.minimum(np.maximum(mass, 0.0), 1.0)
-
-    def inverse(self, rows, a, t):
-        """``measure.generalized_inverse(densities[rows[i]], a[i], t[i])``
-        per lane for targets t > 0, plus a mask of the lanes where it
-        returns None (their x is left meaningless)."""
-        total = self.total[rows]
-        start = self.cumulative_mass(rows, a)
-        short = total - start < t - INVERSE_SLACK
-        target = np.minimum(start + t, total)
-        j = np.maximum((self.cum[rows] < target[:, None]).sum(1) - 1, 0)
-        delta = target - self.cum[rows, j]
-        left, right, width, v0, slope = self._piece(rows, j)
-        # both kinds' formulas run on every lane; the unused one may divide
-        # by zero or take the root of a negative number
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u_constant = delta / v0
-            disc = v0 * v0 + 2.0 * slope * delta
-            denom = v0 + np.sqrt(np.maximum(disc, 0.0))
-            u_linear = np.where(denom <= 0.0, width, 2.0 * delta / denom)
-        u = np.where(self.linear[rows], u_linear, u_constant)
-        x = np.minimum(np.maximum(left + u, left), right)
-        return np.minimum(np.maximum(x, a), 1.0), short
 
 
 def solve_orders(densities, orders, tol: float, max_iter: int) -> list[EquitableSolution]:

@@ -1,11 +1,13 @@
 """Piecewise valuation densities on [0, 1] with closed-form interval masses.
 
 Each player's preferences are a nonnegative density on the unit interval,
-normalized to total mass 1. Two families are supported, both with explicit
-antiderivatives so interval masses and their inverses never need quadrature:
+normalized to total mass 1 and described in one of two kinds:
 
 * ``piecewise_constant``: one height per piece ``[b_k, b_{k+1})``
 * ``piecewise_linear``: one value per breakpoint, interpolated linearly
+
+Both load into one piece table (see :class:`Density`), which every query
+reads through one piecewise-quadratic antiderivative, never by quadrature.
 
 The half-open piece convention matters only for point evaluation; measures
 here are atomless, so it never changes an integral.
@@ -43,8 +45,11 @@ class Density:
     :func:`validate_and_normalize` (or the convenience constructors below);
     the raw constructor performs no checks.
 
-    ``scale`` records the factor the raw values were divided by, so the
-    original description is recoverable.
+    Piece k starts at height ``values[k]`` with slope ``slopes[k]`` (0 on
+    constant pieces) and has mass ``cum_mass[k + 1] - cum_mass[k]``. Both
+    tuples are built once; ``kind`` only says how values map to pieces, and
+    no query reads it. ``scale`` records the factor the raw values were
+    divided by, so the original description is recoverable.
     """
 
     kind: str
@@ -55,25 +60,34 @@ class Density:
     @cached_property
     def cum_mass(self) -> tuple[float, ...]:
         """Mass of [0, b_k] for every breakpoint b_k."""
+        bp, v = self.breakpoints, self.values
+        linear = self.kind != PIECEWISE_CONSTANT
         out = [0.0]
-        for k in range(len(self.breakpoints) - 1):
-            out.append(out[-1] + self._piece_mass(k))
+        for k in range(len(bp) - 1):
+            height = 0.5 * (v[k] + v[k + 1]) if linear else v[k]
+            out.append(out[-1] + height * (bp[k + 1] - bp[k]))
         return tuple(out)
+
+    @cached_property
+    def slopes(self) -> tuple[float, ...]:
+        """Slope of every piece, 0.0 on constant ones; built on first use,
+        as building it at load raised the peak memory of many densities."""
+        return _slopes(self.kind, self.breakpoints, self.values)
 
     @property
     def max_height(self) -> float:
         return max(self.values)
 
-    def _piece_mass(self, k: int) -> float:
-        width = self.breakpoints[k + 1] - self.breakpoints[k]
-        if self.kind == PIECEWISE_CONSTANT:
-            return self.values[k] * width
-        return 0.5 * (self.values[k] + self.values[k + 1]) * width
-
     def piece_index(self, x: float) -> int:
         """Index k with b_k <= x < b_{k+1}; the last piece claims x = 1."""
         k = bisect_right(self.breakpoints, x) - 1
         return min(max(k, 0), len(self.breakpoints) - 2)
+
+
+def _slopes(kind: str, bp, v) -> tuple[float, ...]:
+    if kind == PIECEWISE_CONSTANT:
+        return (0.0,) * len(v)
+    return tuple((v[k + 1] - v[k]) / (bp[k + 1] - bp[k]) for k in range(len(bp) - 1))
 
 
 def validate_and_normalize(kind: str, breakpoints, values) -> Density:
@@ -108,7 +122,12 @@ def validate_and_normalize(kind: str, breakpoints, values) -> Density:
         raise NegativeValue("density values overflow when integrated")
     if total <= 0.0:
         raise ZeroMass("density integrates to zero")
-    return Density(kind, bp, tuple(v / total for v in vals), total)
+    d = Density(kind, bp, tuple(v / total for v in vals), total)
+    if not math.isfinite(max(d.values)):
+        raise NegativeValue(f"density values overflow when divided by their total {total!r}")
+    if not all(map(math.isfinite, _slopes(kind, bp, d.values))):
+        raise NegativeValue("density slope overflows: a piece is too narrow for its rise")
+    return d
 
 
 def uniform() -> Density:
@@ -128,11 +147,7 @@ def cumulative_mass(d: Density, x: float) -> float:
     """Mass of [0, x], read off the piecewise antiderivative."""
     j = d.piece_index(x)
     u = x - d.breakpoints[j]
-    if d.kind == PIECEWISE_CONSTANT:
-        return d.cum_mass[j] + d.values[j] * u
-    width = d.breakpoints[j + 1] - d.breakpoints[j]
-    slope = (d.values[j + 1] - d.values[j]) / width
-    return d.cum_mass[j] + u * (d.values[j] + 0.5 * slope * u)
+    return d.cum_mass[j] + u * (d.values[j] + 0.5 * d.slopes[j] * u)
 
 
 def integral_on(d: Density, a: float, b: float) -> float:
@@ -168,17 +183,17 @@ def generalized_inverse(d: Density, a: float, t: float, slack: float = INVERSE_S
     j = max(idx - 1, 0)
     delta = target - d.cum_mass[j]
     bp = d.breakpoints
-    if d.kind == PIECEWISE_CONSTANT:
-        u = delta / d.values[j]
+    v0 = d.values[j]
+    slope = d.slopes[j]
+    if slope == 0.0:
+        # the root below equals this only while v0*v0 is a normal float
+        u = delta / v0
     else:
         # Solve v0*u + s*u^2/2 = delta for u; the rationalized root is
         # stable when v0 and s*delta have opposite signs.
-        width = bp[j + 1] - bp[j]
-        v0 = d.values[j]
-        slope = (d.values[j + 1] - v0) / width
         disc = v0 * v0 + 2.0 * slope * delta
         denom = v0 + math.sqrt(max(disc, 0.0))
-        u = width if denom <= 0.0 else 2.0 * delta / denom
+        u = bp[j + 1] - bp[j] if denom <= 0.0 else 2.0 * delta / denom
     x = bp[j] + u
     x = min(max(x, bp[j]), bp[j + 1])
     return min(max(x, a), 1.0)
@@ -194,11 +209,7 @@ def plateau_end(d: Density, x: float) -> float:
         return 1.0
     end = x
     for k in range(d.piece_index(x), len(d.breakpoints) - 1):
-        if d.kind == PIECEWISE_CONSTANT:
-            flat = d.values[k] == 0.0
-        else:
-            flat = d.values[k] == 0.0 and d.values[k + 1] == 0.0
-        if not flat:
+        if d.values[k] != 0.0 or d.slopes[k] != 0.0:
             break
         end = d.breakpoints[k + 1]
     return min(end, 1.0)

@@ -8,31 +8,10 @@ grows like (1/resolution)^(n-1); the player cap keeps that honest.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .errors import ResolutionTooFine, TooManyPlayers
-from .measure import PIECEWISE_CONSTANT, Density
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MAX_PLAYERS = 4
 MIN_RESOLUTION = 1e-4
-
-
-def _cdf_on_grid(d: Density, xs: np.ndarray) -> np.ndarray:
-    """Cumulative mass at every grid point, vectorized."""
-    import numpy as np
-
-    bp = np.asarray(d.breakpoints)
-    vals = np.asarray(d.values)
-    cum = np.asarray(d.cum_mass)
-    idx = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(bp) - 2)
-    u = xs - bp[idx]
-    if d.kind == PIECEWISE_CONSTANT:
-        return cum[idx] + vals[idx] * u
-    slopes = np.diff(vals) / np.diff(bp)
-    return cum[idx] + u * (vals[idx] + 0.5 * slopes[idx] * u)
 
 
 def grid_search_equitable(inst, resolution: float):
@@ -54,9 +33,12 @@ def grid_search_equitable(inst, resolution: float):
     # (and the CLI) does not pay for it
     import numpy as np
 
+    from .tables import _Tables
+
     steps = max(int(round(1.0 / resolution)), 1)
     grid = np.linspace(0.0, 1.0, steps + 1)
-    cdf = [_cdf_on_grid(inst.piece_owner(k), grid) for k in range(n)]
+    tables = _Tables(inst.piece_owner(k) for k in range(n))
+    cdf = [tables.cumulative_mass(k, grid) for k in range(n)]
     totals = [float(c[-1]) for c in cdf]
 
     if n == 2:

@@ -199,6 +199,22 @@ class TestSolveCommand:
         assert "warning" not in captured.out
 
 
+    @pytest.mark.parametrize(
+        "density",
+        [
+            {"kind": "piecewise_constant", "breakpoints": [0, 5e-324, 1], "values": [1, 0]},
+            {"kind": "piecewise_linear", "breakpoints": [0, 5e-324, 1], "values": [0, 1, 1]},
+        ],
+    )
+    def test_non_finite_piece_table_is_load_error(self, tmp_path, capsys, density):
+        doc = {"players": [{"name": "a", "density": density}, UNIFORM2["players"][1]]}
+        code = run(["solve", write(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "players[0] (a): density" in err
+        assert "overflow" in err
+
+
 class TestSweepCommand:
     def test_disjoint_ranking(self, tmp_path, capsys):
         code = run(["sweep", write(tmp_path, DISJOINT2), "--format", "json"])

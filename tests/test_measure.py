@@ -1,6 +1,8 @@
 import math
 import random
+from bisect import bisect_left
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,13 @@ from equicut.errors import (
     ReversedInterval,
     ZeroMass,
 )
+from equicut.lockstep import _Tables
 from equicut.measure import (
+    INVERSE_SLACK,
     KINDS,
     PIECEWISE_CONSTANT,
+    PIECEWISE_LINEAR,
+    cumulative_mass,
     generalized_inverse,
     integral_on,
     piecewise_constant,
@@ -60,6 +66,18 @@ def densities(draw, max_pieces=5, min_height=0.0):
             max_size=count,
         )
     )
+    if kind == PIECEWISE_LINEAR:
+        # equal adjacent knots make flat linear pieces (slope 0), and equal
+        # knots at zero make zero plateaus
+        flats = ("tie", "zero") if min_height == 0.0 else ("tie",)
+        marks = draw(
+            st.lists(st.sampled_from((None, *flats)), min_size=count - 1, max_size=count - 1)
+        )
+        for k, mark in enumerate(marks):
+            if mark == "zero":
+                values[k] = values[k + 1] = 0.0
+            elif mark == "tie":
+                values[k + 1] = values[k]
     assume(max(values) > 1e-9)
     return validate_and_normalize(kind, breakpoints, values)
 
@@ -125,6 +143,15 @@ class TestValidateAndNormalize:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             validate_and_normalize("spline", (0.0, 1.0), (1.0,))
+
+    def test_values_overflowing_on_normalization_rejected(self):
+        # the raw total is subnormal, so dividing by it overflows
+        with pytest.raises(NegativeValue, match="divided by their total"):
+            piecewise_constant((0.0, 5e-324, 1.0), (1.0, 0.0))
+
+    def test_overflowing_slope_rejected(self):
+        with pytest.raises(NegativeValue, match="slope"):
+            piecewise_linear((0.0, 5e-324, 1.0), (0.0, 1.0, 1.0))
 
 
 class TestIntegralOn:
@@ -195,6 +222,15 @@ class TestGeneralizedInverse:
         for t in (0.01, 0.25, 0.49, 0.81):
             assert generalized_inverse(d, 0.0, t) == pytest.approx(math.sqrt(t), abs=1e-14)
 
+    def test_flat_linear_piece_at_extreme_height_inverts_exactly(self):
+        # v0*v0 is subnormal here, so the square root does not give v0 back
+        d = piecewise_linear((0.0, 0.5, 1.0), (1e-160, 1e-160, 1.0))
+        t = d.cum_mass[1] / 2
+        assert generalized_inverse(d, 0.0, t) == 0.25
+        x, short = _Tables([d]).inverse(np.zeros(1, dtype=np.intp), np.zeros(1), np.array([t]))
+        assert x.tolist() == [0.25]
+        assert not short[0]
+
 
 class TestPlateauEnd:
     def test_no_plateau(self):
@@ -251,3 +287,102 @@ class TestProperties:
         d = piecewise_constant((0.0, 0.25, 0.75, 1.0), (2.0, 0.0, 2.0))
         # every point of [0.25, 0.75] carries mass 0.5; the smallest wins
         assert generalized_inverse(d, 0.0, 0.5) == pytest.approx(0.25, abs=1e-15)
+
+
+# The per-kind formulas the piece table replaced, kept as the reference.
+def per_kind_cumulative_mass(d, x):
+    j = d.piece_index(x)
+    u = x - d.breakpoints[j]
+    if d.kind == PIECEWISE_CONSTANT:
+        return d.cum_mass[j] + d.values[j] * u
+    width = d.breakpoints[j + 1] - d.breakpoints[j]
+    slope = (d.values[j + 1] - d.values[j]) / width
+    return d.cum_mass[j] + u * (d.values[j] + 0.5 * slope * u)
+
+
+def per_kind_generalized_inverse(d, a, t):
+    if t == 0.0:
+        return a
+    total = d.cum_mass[-1]
+    start = per_kind_cumulative_mass(d, a)
+    if total - start < t - INVERSE_SLACK:
+        return None
+    target = min(start + t, total)
+    j = max(bisect_left(d.cum_mass, target) - 1, 0)
+    delta = target - d.cum_mass[j]
+    bp = d.breakpoints
+    if d.kind == PIECEWISE_CONSTANT:
+        u = delta / d.values[j]
+    else:
+        width = bp[j + 1] - bp[j]
+        v0 = d.values[j]
+        slope = (d.values[j + 1] - v0) / width
+        disc = v0 * v0 + 2.0 * slope * delta
+        denom = v0 + math.sqrt(max(disc, 0.0))
+        u = width if denom <= 0.0 else 2.0 * delta / denom
+    x = min(max(bp[j] + u, bp[j]), bp[j + 1])
+    return min(max(x, a), 1.0)
+
+
+def per_kind_plateau_end(d, x):
+    if x >= 1.0:
+        return 1.0
+    end = x
+    for k in range(d.piece_index(x), len(d.breakpoints) - 1):
+        if d.kind == PIECEWISE_CONSTANT:
+            flat = d.values[k] == 0.0
+        else:
+            flat = d.values[k] == 0.0 and d.values[k + 1] == 0.0
+        if not flat:
+            break
+        end = d.breakpoints[k + 1]
+    return min(end, 1.0)
+
+
+def per_kind_cdf_on_grid(d, xs):
+    bp = np.asarray(d.breakpoints)
+    vals = np.asarray(d.values)
+    cum = np.asarray(d.cum_mass)
+    idx = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(bp) - 2)
+    u = xs - bp[idx]
+    if d.kind == PIECEWISE_CONSTANT:
+        return cum[idx] + vals[idx] * u
+    slopes = np.diff(vals) / np.diff(bp)
+    return cum[idx] + u * (vals[idx] + 0.5 * slopes[idx] * u)
+
+
+def tied(rng, d):
+    """``d`` with some adjacent linear knots made equal: flat pieces."""
+    if d.kind != PIECEWISE_LINEAR:
+        return d
+    values = list(d.values)
+    for k in range(len(values) - 1):
+        if rng.random() < 0.4:
+            values[k + 1] = values[k]
+    if max(values) <= 0.0:
+        return d
+    return validate_and_normalize(d.kind, d.breakpoints, values)
+
+
+class TestPieceTableMatchesPerKindFormulas:
+    """One formula for both kinds gives exactly what each kind's own
+    formula gave, plateaus and flat linear pieces included."""
+
+    GRID = np.linspace(0.0, 1.0, 1001)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_queries_are_bit_identical(self, seed, kind):
+        rng = random.Random(seed)
+        for _ in range(25):
+            d = tied(rng, random_density(rng, 6, kind, zero_share=rng.choice((0.0, 0.5))))
+            points = [*d.breakpoints, *(rng.random() for _ in range(10))]
+            for x in points:
+                assert cumulative_mass(d, x) == per_kind_cumulative_mass(d, x)
+                assert plateau_end(d, x) == per_kind_plateau_end(d, x)
+            for a in points[::2]:
+                for t in (0.0, 0.3 * rng.random(), rng.random(), 1.0 - cumulative_mass(d, a)):
+                    t = max(t, 0.0)
+                    assert generalized_inverse(d, a, t) == per_kind_generalized_inverse(d, a, t)
+            grid = _Tables([d]).cumulative_mass(0, self.GRID)
+            assert grid.tolist() == per_kind_cdf_on_grid(d, self.GRID).tolist()
